@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race checkptr vet rackvet bench bench-kernels bench-pipeline bench-netsched bench-skew bench-baseline trace-overhead faultcheck check
+.PHONY: build test race checkptr vet rackvet bench bench-kernels bench-pipeline bench-netsched bench-skew bench-baseline trace-overhead faultcheck perfbench-smoke check
 
 build:
 	$(GO) build ./...
@@ -107,6 +107,13 @@ trace-overhead:
 faultcheck:
 	$(GO) test -run 'TestFaultInjectionSweep|TestCleanRunsQuiet' -count=1 -v ./internal/health
 
-check: build vet rackvet test race faultcheck
+# Smoke test of the end-to-end benchmark (perfbench/, BENCHMARK.json):
+# every workload at tiny scale, untraced and traced, must emit every
+# declared metric with its unit. perfbench is its own module, so the
+# root `go test ./...` does not reach it.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
+check: build vet rackvet test race faultcheck perfbench-smoke
 	-$(MAKE) bench-baseline BENCHTIME=1x
 	-$(MAKE) trace-overhead

@@ -50,6 +50,10 @@ type Cluster struct {
 	cfg      Config
 	net      *rdma.Network
 	machines []*Machine
+
+	// leaseMu is held by the join that leased the machines' arenas.
+	leaseMu   sync.Mutex
+	closeOnce sync.Once
 }
 
 // New builds the rack: devices, control-plane queue pairs and pre-posted
@@ -81,6 +85,7 @@ func New(cfg Config) (*Cluster, error) {
 			Cores:   cfg.CoresPerMachine,
 			ctl:     make(map[int]*ctlChannel),
 		}
+		m.arena = newArena(m.PD)
 		c.machines = append(c.machines, m)
 	}
 	// Control plane: one QP pair per unordered machine pair.
@@ -98,8 +103,20 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Close drains the interconnect.
-func (c *Cluster) Close() { c.net.Close() }
+// Close drains the interconnect and unpins every registration the
+// cluster made: each machine's arena and its control-channel buffers.
+// Pinned pages return to their pre-New level. Close is idempotent.
+func (c *Cluster) Close() {
+	c.closeOnce.Do(func() {
+		c.net.Close()
+		for _, m := range c.machines {
+			m.arena.release(true)
+			for _, ch := range m.ctl {
+				ch.close()
+			}
+		}
+	})
+}
 
 // Machines returns the machines of the rack.
 func (c *Cluster) Machines() []*Machine { return c.machines }
@@ -194,7 +211,8 @@ type Machine struct {
 	PD      *rdma.ProtectionDomain
 	Cores   int
 
-	ctl map[int]*ctlChannel
+	ctl   map[int]*ctlChannel
+	arena *Arena
 }
 
 // Cluster returns the owning cluster.

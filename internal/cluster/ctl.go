@@ -67,6 +67,15 @@ func newCtlChannel(m *Machine, cfg Config) (*ctlChannel, error) {
 	return ch, nil
 }
 
+// close unpins the channel's buffers (Cluster.Close).
+func (ch *ctlChannel) close() {
+	for _, mr := range []*rdma.MemoryRegion{ch.sendMR, ch.recvMR} {
+		if mr != nil {
+			_ = mr.Deregister() // fails only when already deregistered
+		}
+	}
+}
+
 func (ch *ctlChannel) postRecvSlot(slot int) error {
 	return ch.qp.PostRecv(rdma.RecvWR{
 		WRID:  uint64(slot),

@@ -49,10 +49,18 @@ func Run(c *cluster.Cluster, inner, outer *relation.Distributed, cfg Config) (*R
 		cfg.Metrics = c.Metrics()
 	}
 
+	// Every registered byte of the join comes from the machines' resident
+	// arenas, leased until Run returns. A failed join drops the
+	// registrations (transfers may still be in flight toward them).
+	lease := c.Lease()
+	failed := true
+	defer func() { lease.Release(failed) }()
+
 	states := make([]*machineState, nm)
 	for m := 0; m < nm; m++ {
-		states[m] = newMachineState(c.Machine(m), &cfg, nm, width, inner.Chunks[m], outer.Chunks[m])
+		states[m] = newMachineState(c.Machine(m), lease.Arena(m), &cfg, nm, width, inner.Chunks[m], outer.Chunks[m])
 	}
+	before := deviceTotals(c)
 	mesh, err := wireDataPlane(c, states)
 	if err != nil {
 		return nil, err
@@ -72,7 +80,6 @@ func Run(c *cluster.Cluster, inner, outer *relation.Distributed, cfg Config) (*R
 		cfg.Flight.AttachMetrics(cfg.Metrics)
 	}
 
-	before := deviceTotals(c)
 	errs := make([]error, nm)
 	var wg sync.WaitGroup
 	for m := 0; m < nm; m++ {
@@ -91,6 +98,7 @@ func Run(c *cluster.Cluster, inner, outer *relation.Distributed, cfg Config) (*R
 			return nil, fmt.Errorf("core: machine %d: %w", m, err)
 		}
 	}
+	failed = false
 	res := assembleResult(c, states, before)
 	if cfg.OnComplete != nil {
 		cfg.OnComplete(res)
@@ -102,6 +110,7 @@ func Run(c *cluster.Cluster, inner, outer *relation.Distributed, cfg Config) (*R
 type machineState struct {
 	cfg   *Config
 	m     *cluster.Machine
+	arena *cluster.Arena // leased for the join; owns every registered byte
 	nm    int
 	np    int // 2^NetworkBits
 	width int
@@ -132,11 +141,12 @@ type machineState struct {
 	rkeysCur                 []uint64           // cursor region rkeys (atomic-append)
 
 	// Data plane.
-	sendCQ []*rdma.CompletionQueue // per partitioning thread
-	qps    [][]*rdma.QP            // [thread][peer machine]
-	pools  []*bufferPool           // per partitioning thread
-	recvCQ *rdma.CompletionQueue
-	rings  map[uint32]*recvRing // by local QPN
+	sendCQ  []*rdma.CompletionQueue // per partitioning thread
+	qps     [][]*rdma.QP            // [thread][peer machine]
+	pools   []*bufferPool           // per partitioning thread
+	threads []*threadState          // per partitioning thread, reused across slices
+	recvCQ  *rdma.CompletionQueue
+	rings   map[uint32]*recvRing // by local QPN
 	// TCP data plane (TransportTCP only).
 	tcp      *tcpnet.Endpoint
 	tcpBytes atomic.Uint64
@@ -223,9 +233,9 @@ type machineState struct {
 	skewReplBytes  atomic.Uint64
 }
 
-func newMachineState(m *cluster.Machine, cfg *Config, nm, width int, r, s *relation.Relation) *machineState {
+func newMachineState(m *cluster.Machine, arena *cluster.Arena, cfg *Config, nm, width int, r, s *relation.Relation) *machineState {
 	st := &machineState{
-		cfg: cfg, m: m, nm: nm, np: 1 << cfg.NetworkBits, width: width,
+		cfg: cfg, m: m, arena: arena, nm: nm, np: 1 << cfg.NetworkBits, width: width,
 		R: r, S: s,
 		rings:    make(map[uint32]*recvRing),
 		resRings: make(map[uint32]*recvRing),
@@ -250,6 +260,7 @@ func newMachineState(m *cluster.Machine, cfg *Config, nm, width int, r, s *relat
 	}
 	st.met = cfg.Metrics.Scope(metrics.L("machine", strconv.Itoa(m.ID)))
 	st.skewMode = cfg.skewMode(nm)
+	st.resetScratch()
 	return st
 }
 
@@ -653,36 +664,51 @@ func (st *machineState) residentHere(p int) bool {
 	return st.owner[p] == st.m.ID || st.broadcast[p]
 }
 
-// allocRegions allocates and registers the destination slabs that receive
-// this machine's assigned partitions. Sizes are exact thanks to the
-// histogram phase; with one-sided transport the slabs are exposed for
-// remote writes.
+// Arena region names: one resident registered region per role and
+// machine, sized to the high-water mark of the joins that used it.
+const (
+	regionSlabR       = "core.slab.R"
+	regionSlabS       = "core.slab.S"
+	regionCursors     = "core.cursors"
+	regionSendPools   = "core.send.pools"
+	regionAtomicPads  = "core.send.atomic"
+	regionRecvRings   = "core.recv.rings"
+	regionStageR      = "core.stage.R"
+	regionStageS      = "core.stage.S"
+	regionResultPools = "core.result.pools"
+	regionResultRings = "core.result.rings"
+)
+
+// allocRegions carves the destination slabs that receive this machine's
+// assigned partitions out of its arena. Sizes are exact thanks to the
+// histogram phase — which is also why the slabs need no zeroing: the
+// scatter, the receive loops and the remote writes together fill every
+// tuple slot before the local pass reads one. With one-sided transport
+// the slabs are exposed for remote writes.
 func (st *machineState) allocRegions() error {
-	// Cache-line-aligned slabs: partition boundaries land on line starts
-	// for the paper's power-of-two widths, so the scatter kernels never
-	// split a tuple store across lines.
-	st.slabR = relation.NewAligned(st.width, int(st.slabTuplesR))
-	st.slabS = relation.NewAligned(st.width, int(st.slabTuplesS))
 	access := rdma.AccessLocalWrite
 	if st.cfg.Transport == TransportOneSided || st.cfg.Transport == TransportOneSidedAtomic {
 		access |= rdma.AccessRemoteWrite
 	}
 	var err error
-	if st.slabR.Size() > 0 {
-		if st.mrR, err = st.m.PD.RegisterMemory(st.slabR.Bytes(), access); err != nil {
-			return err
-		}
+	if st.slabR, st.mrR, err = st.arenaRelation(regionSlabR, st.slabTuplesR, access); err != nil {
+		return err
 	}
-	if st.slabS.Size() > 0 {
-		if st.mrS, err = st.m.PD.RegisterMemory(st.slabS.Bytes(), access); err != nil {
-			return err
-		}
+	if st.slabS, st.mrS, err = st.arenaRelation(regionSlabS, st.slabTuplesS, access); err != nil {
+		return err
 	}
 	if st.cfg.Transport == TransportOneSidedAtomic {
 		// Append cursors, one 8-byte word per (partition, relation),
 		// initialised past the local share; remote senders fetch-and-add
-		// to reserve their write ranges.
-		cur := make([]byte, st.np*2*8)
+		// to reserve their write ranges. Remote atomics read-modify-write
+		// these words, so unlike every other arena region the cursors are
+		// cleared and rewritten on every join.
+		n := st.np * 2 * 8
+		if st.mrCur, err = st.arena.Region(regionCursors, n, rdma.AccessLocalWrite|rdma.AccessRemoteAtomic); err != nil {
+			return err
+		}
+		cur := st.mrCur.Bytes()[:n]
+		clear(cur)
 		for _, p := range st.resident {
 			putCursor(cur, p, false, int64(st.allHistR[st.m.ID][p]))
 			if st.isSplit(p) {
@@ -693,11 +719,23 @@ func (st *machineState) allocRegions() error {
 				putCursor(cur, p, true, int64(st.allHistS[st.m.ID][p]))
 			}
 		}
-		if st.mrCur, err = st.m.PD.RegisterMemory(cur, rdma.AccessLocalWrite|rdma.AccessRemoteAtomic); err != nil {
-			return err
-		}
 	}
 	return nil
+}
+
+// arenaRelation returns an n-tuple relation over the arena region key
+// (nil region for an empty relation). Arena regions are cache-line
+// aligned: partition boundaries land on line starts for the paper's
+// power-of-two widths, so the scatter kernels never split a tuple store
+// across lines.
+func (st *machineState) arenaRelation(key string, n int64, access rdma.Access) (*relation.Relation, *rdma.MemoryRegion, error) {
+	size := int(n) * st.width
+	mr, err := st.arena.Region(key, size, access)
+	if err != nil || mr == nil {
+		return relation.New(st.width, 0), nil, err
+	}
+	rel, err := relation.View(st.width, mr.Bytes()[:size])
+	return rel, mr, err
 }
 
 // cursorOffset returns the byte offset of partition p's append cursor
@@ -798,7 +836,8 @@ func (st *machineState) localWriteBase(p int, isS bool) int64 {
 // setup is excluded from phase timings, like the paper's experiments.
 func wireDataPlane(c *cluster.Cluster, states []*machineState) (*tcpnet.Mesh, error) {
 	nm := len(states)
-	for _, st := range states {
+	rings := make([]ringCarver, nm)
+	for i, st := range states {
 		st.sendCQ = make([]*rdma.CompletionQueue, st.partThreads)
 		for t := range st.sendCQ {
 			st.sendCQ[t] = st.m.Dev.NewCQ()
@@ -807,6 +846,14 @@ func wireDataPlane(c *cluster.Cluster, states []*machineState) (*tcpnet.Mesh, er
 		st.qps = make([][]*rdma.QP, st.partThreads)
 		for t := range st.qps {
 			st.qps[t] = make([]*rdma.QP, nm)
+		}
+		if nm > 1 && st.cfg.usesNetworkThread() && st.cfg.Transport != TransportTCP {
+			// One ring per incoming (peer, sender thread) queue pair; every
+			// machine runs the same number of partitioning threads.
+			var err error
+			if rings[i], err = newRingCarver(st.arena, regionRecvRings, (nm-1)*st.partThreads, st.cfg.BufferSize); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if states[0].cfg.ResultSink != nil && states[0].cfg.ResultTarget >= 0 {
@@ -847,7 +894,7 @@ func wireDataPlane(c *cluster.Cluster, states []*machineState) (*tcpnet.Mesh, er
 				}
 				sa.qps[t][b] = qpS
 				if sa.cfg.usesNetworkThread() {
-					ring, err := newRecvRing(sb.m.PD, qpR, sa.cfg.BufferSize, recvRingSlots)
+					ring, err := rings[b].next(qpR)
 					if err != nil {
 						return nil, err
 					}

@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"rackjoin/internal/cluster"
 	"rackjoin/internal/hashtable"
 	"rackjoin/internal/metrics"
 	"rackjoin/internal/radix"
@@ -20,7 +22,8 @@ type joinWorker struct {
 	id       int
 	sched    *scheduler
 	shipper  *resultShipper     // remote result path (Section 4.3), may be nil
-	pt       *radix.Partitioner // local-pass scatter kernels + scratch
+	pt       *radix.Partitioner // local-pass scatter kernels + staging
+	scratch  *workerScratch     // resident local-pass outputs and tables
 	batch    hashtable.Batch    // batched-probe scratch
 	err      error              // first shipping error, surfaced after the phase
 	matches  uint64
@@ -31,11 +34,97 @@ type joinWorker struct {
 }
 
 func (st *machineState) newJoinWorker(id int, sched *scheduler, shippers []*resultShipper) *joinWorker {
-	w := &joinWorker{st: st, id: id, sched: sched, pt: radix.NewPartitioner(st.cfg.Kernels)}
+	w := &joinWorker{st: st, id: id, sched: sched, pt: radix.NewPartitioner(st.cfg.Kernels),
+		scratch: st.localScratch().workers[id]}
 	if shippers != nil {
 		w.shipper = shippers[id]
 	}
 	return w
+}
+
+// localPassScratch is a machine's resident local-pass scratch, one entry
+// per worker core, kept in the machine's arena across joins.
+type localPassScratch struct {
+	workers []*workerScratch
+}
+
+// workerScratch is one worker's scratch: a private hash table for the
+// build-probe of a partition pair it joins start to finish, and the
+// scratch sets its partitions are sub-partitioned into.
+type workerScratch struct {
+	tbl  hashtable.Table
+	sets []*scratchSet
+}
+
+// scratchSet holds one processPartition's outputs: the two sub-partitioned
+// relations and the hash tables its skew-split subtasks share. Split
+// subtasks may run on other workers after processPartition returned, so a
+// set is reference-counted: processPartition holds one reference, every
+// subtask holding a view into the set holds another, and the owning
+// worker reuses the set only once the count is back to zero.
+type scratchSet struct {
+	subR, subS relation.Buffer
+	tables     []*hashtable.Table
+	ntables    int
+	refs       atomic.Int32
+}
+
+// localScratch returns the machine's resident local-pass scratch.
+func (st *machineState) localScratch() *localPassScratch {
+	return cluster.Resident(st.arena, "core.localpass", func() *localPassScratch {
+		ls := &localPassScratch{workers: make([]*workerScratch, st.m.Cores)}
+		for i := range ls.workers {
+			ls.workers[i] = &workerScratch{}
+		}
+		return ls
+	})
+}
+
+// resetScratch voids the references a previous join left on this
+// machine's scratch sets: no task survives its join, but an aborted one
+// may never have run its release. Called under the lease before any
+// worker starts.
+func (st *machineState) resetScratch() {
+	for _, ws := range st.localScratch().workers {
+		for _, set := range ws.sets {
+			set.refs.Store(0)
+		}
+	}
+}
+
+// acquire returns a free scratch set holding one reference, growing the
+// worker's pool only when every set is pinned by unfinished subtasks.
+// Only the owning worker acquires, and a set at zero references has no
+// other holder, so the check-then-store needs no CAS.
+func (ws *workerScratch) acquire() *scratchSet {
+	for _, set := range ws.sets {
+		if set.refs.Load() == 0 {
+			set.refs.Store(1)
+			set.ntables = 0
+			return set
+		}
+	}
+	set := &scratchSet{}
+	set.refs.Store(1)
+	ws.sets = append(ws.sets, set)
+	return set
+}
+
+// hold adds a reference for a subtask about to be queued.
+func (s *scratchSet) hold() { s.refs.Add(1) }
+
+// release drops a reference once its holder is done reading the set.
+func (s *scratchSet) release() { s.refs.Add(-1) }
+
+// table returns a hash table of the set not yet used by this
+// processPartition, for a build shared by queued subtasks.
+func (s *scratchSet) table() *hashtable.Table {
+	if s.ntables == len(s.tables) {
+		s.tables = append(s.tables, &hashtable.Table{})
+	}
+	t := s.tables[s.ntables]
+	s.ntables++
+	return t
 }
 
 // push queues a child task (a skew-split product) on this worker's own
@@ -215,30 +304,35 @@ func (w *joinWorker) processPartition(p int) {
 	s := st.slabS.Slice(int(st.slabOffS[self][p]), int(st.slabOffS[self][p]+sTuples))
 	b1, b2 := st.cfg.NetworkBits, st.cfg.LocalBits
 	threshold := st.skewThreshold()
+	set := w.scratch.acquire()
+	defer set.release()
 
 	if b2 == 0 {
-		w.buildProbe(r, s, threshold)
+		w.buildProbe(set, r, s, threshold)
 		return
 	}
 
 	// Local partitioning pass (Section 4.2.3): no network involvement.
-	// The partitioner runs the configured scatter kernel and reuses its
-	// staging scratch across this worker's partitions.
+	// The partitioner runs the configured scatter kernel into the scratch
+	// set's resident buffers.
 	start := time.Now()
-	subR, bR := w.pt.Partition(r, b1, b2)
-	subS, bS := w.pt.Partition(s, b1, b2)
+	subR, bR := w.pt.Partition(&set.subR, r, b1, b2)
+	subS, bS := w.pt.Partition(&set.subS, s, b1, b2)
 	w.tLocal += time.Since(start)
 
 	for q := 0; q < 1<<b2; q++ {
-		w.buildProbe(radix.PartitionView(subR, bR, q), radix.PartitionView(subS, bS, q), threshold)
+		w.buildProbe(set, radix.PartitionView(subR, bR, q), radix.PartitionView(subS, bS, q), threshold)
 	}
 }
 
-// buildProbe joins one cache-sized partition pair. With skew handling
-// enabled, an oversized outer side is split into range-probe subtasks
-// sharing one hash table, and an oversized inner side into several smaller
-// hash tables each probed with the full outer part (Section 4.3).
-func (w *joinWorker) buildProbe(r, s *relation.Relation, threshold int) {
+// buildProbe joins one cache-sized partition pair whose views point into
+// set (or the slabs). With skew handling enabled, an oversized outer side
+// is split into range-probe subtasks sharing one hash table, and an
+// oversized inner side into several smaller hash tables each probed with
+// the full outer part (Section 4.3). Every queued subtask holds a
+// reference on set until it ran, so the set's buffers and shared table
+// outlive processPartition for as long as a subtask may read them.
+func (w *joinWorker) buildProbe(set *scratchSet, r, s *relation.Relation, threshold int) {
 	if r.Len() == 0 || s.Len() == 0 {
 		return
 	}
@@ -251,7 +345,11 @@ func (w *joinWorker) buildProbe(r, s *relation.Relation, threshold int) {
 				hi = r.Len()
 			}
 			chunk := r.Slice(lo, hi)
-			w.push(func(cw *joinWorker) { cw.buildProbe(chunk, s, 0) })
+			set.hold()
+			w.push(func(cw *joinWorker) {
+				defer set.release()
+				cw.buildProbe(set, chunk, s, 0)
+			})
 		}
 		return
 	}
@@ -262,10 +360,11 @@ func (w *joinWorker) buildProbe(r, s *relation.Relation, threshold int) {
 		// idle workers halve whatever remains, so a mis-estimated hot
 		// range cannot strand one worker with the tail.
 		start := time.Now()
-		tbl := hashtable.Build(r)
+		tbl := set.table()
+		tbl.Rebuild(r)
 		w.tBP += time.Since(start)
 		if w.st.skewMode == SkewSplit {
-			w.probeSplittable(tbl, s, 0, s.Len(), threshold)
+			w.probeSplittable(set, tbl, s, 0, s.Len(), threshold)
 			return
 		}
 		for lo := 0; lo < s.Len(); lo += threshold {
@@ -274,12 +373,18 @@ func (w *joinWorker) buildProbe(r, s *relation.Relation, threshold int) {
 				hi = s.Len()
 			}
 			lo, hi := lo, hi
-			w.push(func(cw *joinWorker) { cw.probe(tbl, s, lo, hi) })
+			set.hold()
+			w.push(func(cw *joinWorker) {
+				defer set.release()
+				cw.probe(tbl, s, lo, hi)
+			})
 		}
 		return
 	}
+	// Joined start to finish here: the worker's private table suffices.
 	start := time.Now()
-	tbl := hashtable.Build(r)
+	tbl := &w.scratch.tbl
+	tbl.Rebuild(r)
 	w.tBP += time.Since(start)
 	w.probe(tbl, s, 0, s.Len())
 }
@@ -289,12 +394,19 @@ func (w *joinWorker) buildProbe(r, s *relation.Relation, threshold int) {
 // while it runs, and the owner claims chunk-sized pieces off the bottom.
 // Stolen halves are themselves splittable — a hot partition keeps
 // shedding work for as long as anyone is idle.
-func (w *joinWorker) probeSplittable(tbl *hashtable.Table, s *relation.Relation, lo, hi, chunk int) {
+//
+// A stolen half holds its own reference on set: spawn runs while this
+// call still holds one (the offer is retracted before it returns).
+func (w *joinWorker) probeSplittable(set *scratchSet, tbl *hashtable.Table, s *relation.Relation, lo, hi, chunk int) {
 	rng := &splitRange{lo: lo, hi: hi}
 	o := &splitOffer{
 		rng: rng,
 		spawn: func(lo, hi int) schedTask {
-			return func(cw *joinWorker) { cw.probeSplittable(tbl, s, lo, hi, chunk) }
+			set.hold()
+			return func(cw *joinWorker) {
+				defer set.release()
+				cw.probeSplittable(set, tbl, s, lo, hi, chunk)
+			}
 		},
 	}
 	w.sched.offer(o)

@@ -23,12 +23,15 @@ const atomicWRID = uint64(1) << 62
 const relationFlag = uint32(1) << 31
 
 // bufferPool manages one thread's pre-allocated, pre-registered
-// RDMA-enabled buffers (Section 4.2.1). Buffers are acquired for filling,
-// posted when full, and returned by polling the thread's send completion
-// queue. The pool thereby enforces the cardinal RDMA discipline: a buffer
-// is reused only after its transfer completed.
+// RDMA-enabled buffers (Section 4.2.1): a slice of the machine's resident
+// send-pool region. Buffers are acquired for filling, posted when full,
+// and returned by polling the thread's send completion queue. The pool
+// thereby enforces the cardinal RDMA discipline: a buffer is reused only
+// after its transfer completed. A buffer is posted only for the prefix
+// its fill wrote, so stale bytes from an earlier join are never sent.
 type bufferPool struct {
 	mr      *rdma.MemoryRegion
+	base    int // byte offset of buffer 0 within mr
 	bufSize int
 	cq      *rdma.CompletionQueue
 	free    []int32
@@ -36,9 +39,11 @@ type bufferPool struct {
 	outstanding int
 	// stalls counts acquisitions that blocked on a completion.
 	stalls uint64
-	// atomicMR is the thread's 8-byte landing pad for fetch-and-add
-	// results (atomic-append transport).
-	atomicMR *rdma.MemoryRegion
+	// atomicMR[atomicOff:+8] is the thread's landing pad for
+	// fetch-and-add results (atomic-append transport); each fetch
+	// overwrites it before it is read.
+	atomicMR  *rdma.MemoryRegion
+	atomicOff int
 
 	// Registry handles (nil-safe): waitHist records time spent blocked on
 	// completions when the pool is dry, stallCtr mirrors stalls, flushes
@@ -80,21 +85,14 @@ func (p *bufferPool) markInflight(i int32, dest int) {
 	}
 }
 
-func newBufferPool(pd *rdma.ProtectionDomain, cq *rdma.CompletionQueue, bufSize, count int, withAtomic bool) (*bufferPool, error) {
-	mr, err := pd.RegisterMemory(make([]byte, bufSize*count), 0)
-	if err != nil {
-		return nil, err
-	}
-	p := &bufferPool{mr: mr, bufSize: bufSize, cq: cq, free: make([]int32, 0, count)}
+// newBufferPool carves count buffers of bufSize bytes out of mr, starting
+// at byte offset base.
+func newBufferPool(cq *rdma.CompletionQueue, mr *rdma.MemoryRegion, base, bufSize, count int) *bufferPool {
+	p := &bufferPool{mr: mr, base: base, bufSize: bufSize, cq: cq, free: make([]int32, 0, count)}
 	for i := count - 1; i >= 0; i-- {
 		p.free = append(p.free, int32(i))
 	}
-	if withAtomic {
-		if p.atomicMR, err = pd.RegisterMemory(make([]byte, 8), rdma.AccessLocalWrite); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return p
 }
 
 // waitAtomic blocks until the pending fetch-and-add completes, recycling
@@ -106,15 +104,19 @@ func (p *bufferPool) waitAtomic() (uint64, error) {
 			return 0, err
 		}
 		if c.WRID == atomicWRID {
-			return binary.LittleEndian.Uint64(p.atomicMR.Bytes()), nil
+			return binary.LittleEndian.Uint64(p.atomicMR.Bytes()[p.atomicOff:]), nil
 		}
 		p.recycle(int32(c.WRID))
 	}
 }
 
+// off returns the byte offset of buffer i within the pool's region.
+func (p *bufferPool) off(i int32) int { return p.base + int(i)*p.bufSize }
+
 // buf returns the byte range of buffer i.
 func (p *bufferPool) buf(i int32) []byte {
-	return p.mr.Bytes()[int(i)*p.bufSize : (int(i)+1)*p.bufSize]
+	off := p.off(i)
+	return p.mr.Bytes()[off : off+p.bufSize]
 }
 
 // reap recycles all already-available completions without blocking.
@@ -195,6 +197,7 @@ func (p *bufferPool) waitOne() error {
 // containing preallocated and preregistered buffers").
 func (st *machineState) allocPools() error {
 	st.pools = make([]*bufferPool, st.partThreads)
+	st.threads = make([]*threadState, st.partThreads)
 	// Resolve the netpass kernel-bytes counter once here (single-threaded
 	// setup) instead of per scatterSlice call: the labels are fixed for the
 	// whole run, and resolving in the hot path cost two label allocations
@@ -218,12 +221,20 @@ func (st *machineState) allocPools() error {
 	if count <= 0 {
 		return nil
 	}
-	withAtomic := st.cfg.Transport == TransportOneSidedAtomic
-	for t := 0; t < st.partThreads; t++ {
-		pool, err := newBufferPool(st.m.PD, st.sendCQ[t], st.cfg.BufferSize, count, withAtomic)
-		if err != nil {
+	poolBytes := count * st.cfg.BufferSize
+	mr, err := st.arena.Region(regionSendPools, st.partThreads*poolBytes, 0)
+	if err != nil {
+		return err
+	}
+	var pads *rdma.MemoryRegion
+	if st.cfg.Transport == TransportOneSidedAtomic {
+		if pads, err = st.arena.Region(regionAtomicPads, st.partThreads*8, rdma.AccessLocalWrite); err != nil {
 			return err
 		}
+	}
+	for t := 0; t < st.partThreads; t++ {
+		pool := newBufferPool(st.sendCQ[t], mr, t*poolBytes, st.cfg.BufferSize, count)
+		pool.atomicMR, pool.atomicOff = pads, t*8
 		ts := st.met.With(metrics.L("thread", strconv.Itoa(t)))
 		pool.waitHist = ts.Histogram("netpass_buffer_wait_seconds")
 		pool.stallCtr = ts.Counter("netpass_buffer_stalls_total")
@@ -331,7 +342,9 @@ func (st *machineState) partitionThread(t int) error {
 	return nil
 }
 
-// threadState carries the per-partition cursors of one scatter pass.
+// threadState carries the per-partition cursors of one scatter pass. Each
+// partitioning thread keeps one for the whole join: reset re-aims it at
+// the next slice without allocating.
 type threadState struct {
 	localCur  []int64 // byte cursor into the local slab; -1 for remote partitions
 	curBuf    []int32 // current pool buffer per remote partition; -1 if none
@@ -341,19 +354,24 @@ type threadState struct {
 	wcCopy    bool    // kernel knob: word-copy tuples instead of memmove
 
 	// Broadcast state (inner relation of work-shared partitions): one
-	// buffer and remote cursor per (broadcast partition, destination).
-	bcastBuf  map[int][]int32
-	bcastFill map[int][]int32
-	bcastCur  map[int][]int64
+	// buffer and remote cursor per (broadcast partition, destination),
+	// indexed by partition — nil rows for partitions that are not
+	// broadcast. bcastBuf is bcastRows during the inner scatter and the
+	// all-nil noBcast during the outer one, so the hot loop's check is a
+	// single slice load.
+	bcastBuf, noBcast, bcastRows [][]int32
+	bcastFill                    [][]int32
+	bcastCur                     [][]int64
 	// Split state (outer relation of skew-split partitions): split aliases
 	// st.split during the outer scatter (nil otherwise — one predicted-away
 	// nil check per remote tuple when the skew engine is off), and the
-	// round-robin dealer fills one buffer per (partition, destination).
-	// Exact one-sided cursors live on machineState (splitRemoteCur): they
-	// are shared across threads, unlike the per-thread bcastCur.
+	// round-robin dealer fills one buffer per (partition, destination),
+	// nil rows for unsplit partitions. Exact one-sided cursors live on
+	// machineState (splitRemoteCur): they are shared across threads,
+	// unlike the per-thread bcastCur.
 	split     []bool
-	splitBuf  map[int][]int32
-	splitFill map[int][]int32
+	splitBuf  [][]int32
+	splitFill [][]int32
 	// repBytes counts tuple bytes replicated into broadcast buffers —
 	// kernel work on top of the input scan, folded into
 	// kernel_bytes_total at end of slice.
@@ -367,85 +385,109 @@ type threadState struct {
 	parkedLive int
 }
 
-func (st *machineState) newThreadState(t int, isS bool) *threadState {
+// threadState returns partitioning thread t's scatter state, reset for
+// its slice of the inner (isS false) or outer relation. Only thread t
+// touches st.threads[t].
+func (st *machineState) threadState(t int, isS bool) *threadState {
+	ts := st.threads[t]
+	if ts == nil {
+		ts = st.newThreadState()
+		st.threads[t] = ts
+	}
+	st.resetThreadState(ts, t, isS)
+	return ts
+}
+
+// newThreadState allocates one thread's per-partition state for this join.
+func (st *machineState) newThreadState() *threadState {
 	ts := &threadState{
 		localCur:  make([]int64, st.np),
 		curBuf:    make([]int32, st.np),
 		fill:      make([]int32, st.np),
 		remoteCur: make([]int64, st.np),
 		wcCopy:    st.cfg.Kernels.Resolve(st.width, st.cfg.NetworkBits) == radix.KernelWC,
+		noBcast:   make([][]int32, st.np),
+		bcastRows: make([][]int32, st.np),
+		bcastFill: make([][]int32, st.np),
+		bcastCur:  make([][]int64, st.np),
+		splitBuf:  make([][]int32, st.np),
+		splitFill: make([][]int32, st.np),
 	}
 	if st.cfg.Transport == TransportStream {
 		ts.scratch = make([]byte, st.cfg.BufferSize)
 	}
+	for p := 0; p < st.np; p++ {
+		if st.broadcast[p] { // includes split partitions' inner side
+			ts.bcastRows[p] = make([]int32, st.nm)
+			ts.bcastFill[p] = make([]int32, st.nm)
+			ts.bcastCur[p] = make([]int64, st.nm)
+		}
+		if st.isSplit(p) {
+			ts.splitBuf[p] = make([]int32, st.nm)
+			ts.splitFill[p] = make([]int32, st.nm)
+		}
+	}
+	return ts
+}
+
+// resetThreadState aims ts at thread t's slice of one relation.
+func (st *machineState) resetThreadState(ts *threadState, t int, isS bool) {
 	hists := st.threadHistR
 	all := st.allHistR
 	slabOff := st.slabOffR
+	ts.bcastBuf, ts.split = ts.bcastRows, nil
 	if isS {
 		hists = st.threadHistS
 		all = st.allHistS
 		slabOff = st.slabOffS
+		ts.bcastBuf, ts.split = ts.noBcast, st.split
 	}
+	ts.repBytes = 0
 	w := int64(st.width)
-	if isS {
-		ts.split = st.split
-	}
 	for p := 0; p < st.np; p++ {
 		ts.curBuf[p] = -1
+		ts.fill[p] = 0
 		switch {
 		case isS && st.isSplit(p):
 			// The outer side of a split partition goes through the shared
 			// round-robin dealer: no per-thread local cursor, one deal
 			// buffer per destination.
 			ts.localCur[p] = -1
-			if ts.splitBuf == nil {
-				ts.splitBuf = make(map[int][]int32)
-				ts.splitFill = make(map[int][]int32)
+			for d := range ts.splitBuf[p] {
+				ts.splitBuf[p][d] = -1
+				ts.splitFill[p][d] = 0
 			}
-			bufs := make([]int32, st.nm)
-			for d := range bufs {
-				bufs[d] = -1
-			}
-			ts.splitBuf[p] = bufs
-			ts.splitFill[p] = make([]int32, st.nm)
 		case st.residentHere(p):
 			ts.localCur[p] = (st.localWriteBase(p, isS) + threadPrefix(hists, t, p)) * w
-			if st.broadcast[p] && !isS {
+			if bufs := ts.bcastBuf[p]; bufs != nil {
 				// The inner side of a work-shared partition is written
 				// locally AND replicated to every peer.
-				if ts.bcastBuf == nil {
-					ts.bcastBuf = make(map[int][]int32)
-					ts.bcastFill = make(map[int][]int32)
-					ts.bcastCur = make(map[int][]int64)
-				}
-				bufs := make([]int32, st.nm)
-				cur := make([]int64, st.nm)
 				for d := 0; d < st.nm; d++ {
 					bufs[d] = -1
+					ts.bcastFill[p][d] = 0
 					if d != st.m.ID {
-						cur[d] = slabOff[d][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
+						ts.bcastCur[p][d] = slabOff[d][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
 					}
 				}
-				ts.bcastBuf[p] = bufs
-				ts.bcastFill[p] = make([]int32, st.nm)
-				ts.bcastCur[p] = cur
 			}
 		default:
 			ts.localCur[p] = -1
 			ts.remoteCur[p] = slabOff[st.owner[p]][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
 		}
 	}
-	return ts
 }
 
 // scatterSlice is the hot loop of the network partitioning pass: it walks
 // this thread's contiguous input slice and routes every tuple either into
 // the local destination slab or into the RDMA buffer of its remote
 // partition, shipping buffers as they fill.
+//
+//rack:hotpath
 func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) error {
+	width := st.width
 	n := rel.Len()
-	slice := rel.Slice(n*t/st.partThreads, n*(t+1)/st.partThreads)
-	ts := st.newThreadState(t, isS)
+	data := rel.Bytes()[n*t/st.partThreads*width : n*(t+1)/st.partThreads*width]
+	ts := st.threadState(t, isS)
 	pool := st.pools[t]
 
 	slab := st.slabR
@@ -453,10 +495,8 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 		slab = st.slabS
 	}
 	slabBytes := slab.Bytes()
-	width := st.width
 	mask := uint64(st.np - 1)
 	capTuples := int32(st.cfg.BufferSize / width)
-	data := slice.Bytes()
 
 	// The tuple move is the hot instruction of this loop: the wc kernel
 	// copies whole words through relation.CopyTuple (no memmove dispatch,
@@ -473,7 +513,7 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 				copy(slabBytes[cur:], tuple)
 			}
 			ts.localCur[p] = cur + int64(width)
-			if bufs, ok := ts.bcastBuf[p]; ok {
+			if bufs := ts.bcastBuf[p]; bufs != nil {
 				if err := st.replicate(t, ts, p, tuple, bufs, capTuples); err != nil {
 					return err
 				}
@@ -521,7 +561,7 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 				return err
 			}
 		}
-		if bufs, ok := ts.bcastBuf[p]; ok {
+		if bufs := ts.bcastBuf[p]; bufs != nil {
 			for d := range bufs {
 				if bufs[d] < 0 {
 					continue
@@ -536,7 +576,7 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 				}
 			}
 		}
-		if bufs, ok := ts.splitBuf[p]; ok {
+		if bufs := ts.splitBuf[p]; bufs != nil && isS {
 			for d := range bufs {
 				if bufs[d] < 0 {
 					continue
@@ -554,7 +594,7 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 	}
 	// Tail drain: cycle the schedule until every parked buffer posted —
 	// the pass may not end (and EOP may not fire) with buffers held
-	// back, and the thread state dies with this slice.
+	// back, and the slice's buffers may not outlive it.
 	return st.drainParked(t, ts)
 }
 
@@ -745,7 +785,7 @@ func (st *machineState) postBuffer(t int, ts *threadState, buf, tuples int32, p 
 		if err := qp.PostSend(rdma.SendWR{
 			WRID: atomicWRID, Op: rdma.OpFetchAdd, Signaled: true,
 			Add:    uint64(tuples),
-			Local:  rdma.Segment{MR: pool.atomicMR, Length: 8},
+			Local:  rdma.Segment{MR: pool.atomicMR, Offset: pool.atomicOff, Length: 8},
 			Remote: rdma.RemoteSegment{RKey: uint32(st.rkeysCur[owner]), Offset: cursorOffset(p, isS)},
 		}); err != nil {
 			pool.release(buf)
@@ -764,7 +804,7 @@ func (st *machineState) postBuffer(t int, ts *threadState, buf, tuples int32, p 
 		}
 		wr := rdma.SendWR{
 			WRID: uint64(buf), Signaled: true, Op: rdma.OpWrite,
-			Local:  rdma.Segment{MR: pool.mr, Offset: int(buf) * pool.bufSize, Length: length},
+			Local:  rdma.Segment{MR: pool.mr, Offset: pool.off(buf), Length: length},
 			Remote: rdma.RemoteSegment{RKey: uint32(rkeys[owner]), Offset: (int(slabOff[p]) + int(fetched)) * st.width},
 		}
 		if err := qp.PostSend(wr); err != nil {
@@ -787,7 +827,7 @@ func (st *machineState) postBuffer(t int, ts *threadState, buf, tuples int32, p 
 	wr := rdma.SendWR{
 		WRID:     uint64(buf),
 		Signaled: true,
-		Local:    rdma.Segment{MR: pool.mr, Offset: int(buf) * pool.bufSize, Length: length},
+		Local:    rdma.Segment{MR: pool.mr, Offset: pool.off(buf), Length: length},
 	}
 	if st.cfg.Transport == TransportOneSided {
 		rkeys := st.rkeysR

@@ -46,18 +46,14 @@ func (st *machineState) stageLocal() error {
 	offR, totalR := radix.PrefixSum(machineHistR)
 	offS, totalS := radix.PrefixSum(machineHistS)
 	st.stageOffR, st.stageOffS = offR, offS
-	st.stageR = relation.New(st.width, int(totalR))
-	st.stageS = relation.New(st.width, int(totalS))
+	// The staging slabs are histogram-exact, so the scatter below writes
+	// every byte a peer may read.
 	var err error
-	if st.stageR.Size() > 0 {
-		if st.stageMRR, err = st.m.PD.RegisterMemory(st.stageR.Bytes(), rdma.AccessRemoteRead); err != nil {
-			return err
-		}
+	if st.stageR, st.stageMRR, err = st.arenaRelation(regionStageR, totalR, rdma.AccessRemoteRead); err != nil {
+		return err
 	}
-	if st.stageS.Size() > 0 {
-		if st.stageMRS, err = st.m.PD.RegisterMemory(st.stageS.Bytes(), rdma.AccessRemoteRead); err != nil {
-			return err
-		}
+	if st.stageS, st.stageMRS, err = st.arenaRelation(regionStageS, totalS, rdma.AccessRemoteRead); err != nil {
+		return err
 	}
 
 	var wg sync.WaitGroup

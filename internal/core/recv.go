@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"rackjoin/internal/cluster"
 	"rackjoin/internal/rdma"
 	"rackjoin/internal/trace"
 )
@@ -17,9 +18,13 @@ const recvRingSlots = 8
 // recvRing is the pre-posted receive buffer ring of one incoming queue
 // pair. Slots are consumed by incoming SENDs, their payload copied into
 // the destination partition region by the network thread, and re-posted.
+// The slots are a slice of the machine's resident ring region: a payload
+// is read only for the byte count its completion reports, all of which
+// the SEND just wrote.
 type recvRing struct {
 	qp    *rdma.QP
 	mr    *rdma.MemoryRegion
+	base  int // byte offset of slot 0 within mr
 	bufSz int
 
 	// src/srcThread identify the sender (machine, partitioning thread)
@@ -31,13 +36,27 @@ type recvRing struct {
 	seq       uint64
 }
 
-func newRecvRing(pd *rdma.ProtectionDomain, qp *rdma.QP, bufSize, slots int) (*recvRing, error) {
-	mr, err := pd.RegisterMemory(make([]byte, bufSize*slots), rdma.AccessLocalWrite)
-	if err != nil {
-		return nil, err
+// ringCarver hands out consecutive receive rings from one arena region
+// sized for a known number of rings.
+type ringCarver struct {
+	mr    *rdma.MemoryRegion
+	bufSz int
+	used  int
+}
+
+func newRingCarver(arena *cluster.Arena, key string, rings, bufSize int) (ringCarver, error) {
+	mr, err := arena.Region(key, rings*recvRingSlots*bufSize, rdma.AccessLocalWrite)
+	return ringCarver{mr: mr, bufSz: bufSize}, err
+}
+
+// next carves the next ring for qp and pre-posts its slots.
+func (rc *ringCarver) next(qp *rdma.QP) (*recvRing, error) {
+	r := &recvRing{qp: qp, mr: rc.mr, base: rc.used * recvRingSlots * rc.bufSz, bufSz: rc.bufSz}
+	if rc.mr == nil || r.base+recvRingSlots*rc.bufSz > rc.mr.Len() {
+		return nil, fmt.Errorf("core: receive ring region too small for ring %d", rc.used)
 	}
-	r := &recvRing{qp: qp, mr: mr, bufSz: bufSize}
-	for i := 0; i < slots; i++ {
+	rc.used++
+	for i := 0; i < recvRingSlots; i++ {
 		if err := r.post(i); err != nil {
 			return nil, err
 		}
@@ -48,12 +67,13 @@ func newRecvRing(pd *rdma.ProtectionDomain, qp *rdma.QP, bufSize, slots int) (*r
 func (r *recvRing) post(slot int) error {
 	return r.qp.PostRecv(rdma.RecvWR{
 		WRID:  uint64(slot),
-		Local: rdma.Segment{MR: r.mr, Offset: slot * r.bufSz, Length: r.bufSz},
+		Local: rdma.Segment{MR: r.mr, Offset: r.base + slot*r.bufSz, Length: r.bufSz},
 	})
 }
 
 func (r *recvRing) payload(slot, length int) []byte {
-	return r.mr.Bytes()[slot*r.bufSz : slot*r.bufSz+length]
+	off := r.base + slot*r.bufSz
+	return r.mr.Bytes()[off : off+length]
 }
 
 // postReceiveRings is a hook kept for symmetry: rings are created during

@@ -17,7 +17,10 @@ type NetStats struct {
 	// back-pressure signal of a network-bound run.
 	PoolStalls uint64
 	// Registrations and PagesRegistered account memory-region
-	// registrations performed for the join's data path.
+	// registrations performed for the join's data path. Every region
+	// comes from the machines' resident arenas, so both are non-zero only
+	// when a join builds or outgrows them (the first join on a cluster);
+	// on a warm cluster they are zero.
 	Registrations   uint64
 	PagesRegistered uint64
 }

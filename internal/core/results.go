@@ -36,12 +36,11 @@ type resultShipper struct {
 	fill int
 }
 
-func newResultShipper(st *machineState, worker int) (*resultShipper, error) {
-	pool, err := newBufferPool(st.m.PD, st.resCQ[worker], st.cfg.BufferSize, resultBuffers, false)
-	if err != nil {
-		return nil, err
-	}
-	return &resultShipper{pool: pool, qp: st.resQP[worker], cur: -1}, nil
+// newResultShipper gives worker its slice of the result-pool region mr.
+func newResultShipper(st *machineState, mr *rdma.MemoryRegion, worker int) *resultShipper {
+	base := worker * resultBuffers * st.cfg.BufferSize
+	pool := newBufferPool(st.resCQ[worker], mr, base, st.cfg.BufferSize, resultBuffers)
+	return &resultShipper{pool: pool, qp: st.resQP[worker], cur: -1}
 }
 
 // resultBuffers is the number of output buffers per worker ("multiple
@@ -86,7 +85,7 @@ func (rs *resultShipper) flush() error {
 	err := rs.qp.PostSend(rdma.SendWR{
 		WRID: uint64(rs.cur), Op: rdma.OpSend, Signaled: true,
 		Imm: resultFlag, HasImm: true,
-		Local: rdma.Segment{MR: rs.pool.mr, Offset: int(rs.cur) * rs.pool.bufSize, Length: rs.fill},
+		Local: rdma.Segment{MR: rs.pool.mr, Offset: rs.pool.off(rs.cur), Length: rs.fill},
 	})
 	if err != nil {
 		return err
@@ -120,6 +119,16 @@ func wireResultPlane(states []*machineState) error {
 	}
 	target := states[cfg.ResultTarget]
 	target.resRecvCQ = target.m.Dev.NewCQ()
+	remote := 0
+	for _, st := range states {
+		if st.m.ID != cfg.ResultTarget {
+			remote += st.m.Cores
+		}
+	}
+	rings, err := newRingCarver(target.arena, regionResultRings, remote, cfg.BufferSize)
+	if err != nil {
+		return err
+	}
 	for _, st := range states {
 		if st.m.ID == cfg.ResultTarget {
 			continue
@@ -140,7 +149,7 @@ func wireResultPlane(states []*machineState) error {
 				return err
 			}
 			st.resQP[w] = qpS
-			ring, err := newRecvRing(target.m.PD, qpR, cfg.BufferSize, recvRingSlots)
+			ring, err := rings.next(qpR)
 			if err != nil {
 				return err
 			}
@@ -207,12 +216,13 @@ func (st *machineState) runResultPlane(body func(shippers []*resultShipper) erro
 		}
 		return recvErr
 	}
+	mr, err := st.arena.Region(regionResultPools, st.m.Cores*resultBuffers*st.cfg.BufferSize, 0)
+	if err != nil {
+		return err
+	}
 	shippers := make([]*resultShipper, st.m.Cores)
 	for w := range shippers {
-		var err error
-		if shippers[w], err = newResultShipper(st, w); err != nil {
-			return err
-		}
+		shippers[w] = newResultShipper(st, mr, w)
 	}
 	if err := body(shippers); err != nil {
 		return err

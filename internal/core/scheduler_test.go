@@ -112,8 +112,10 @@ func TestSchedulerStealsFromLoadedWorker(t *testing.T) {
 
 // TestSchedulerSpillsOverflowToInjector pushes more children than one
 // deque holds; the overflow must spill to the injector and still run.
+// One worker: a second one could steal children as fast as they are
+// pushed, so the deque would never fill and the spill would not happen.
 func TestSchedulerSpillsOverflowToInjector(t *testing.T) {
-	const workers = 2
+	const workers = 1
 	const children = dequeCap + 50
 	s := newScheduler(workers)
 	var ran atomic.Int64

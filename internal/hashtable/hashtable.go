@@ -29,6 +29,18 @@ type Table struct {
 // Build constructs a table over all tuples of rel. The directory is sized
 // to the next power of two ≥ len(rel), giving a load factor ≤ 1.
 func Build(rel *relation.Relation) *Table {
+	t := &Table{}
+	t.Rebuild(rel)
+	return t
+}
+
+// Rebuild re-targets t at rel, reusing the directory and chain storage
+// of earlier builds: a worker that joins partition after partition keeps
+// one table and allocates only when a partition outgrows every earlier
+// one. The directory is cleared (its empty-bucket zeros are meaningful);
+// the chain array is not, since every entry 1..len(rel) is written before
+// a probe can follow it. Tables handed out before are invalidated.
+func (t *Table) Rebuild(rel *relation.Relation) {
 	n := rel.Len()
 	size := 1
 	for size < n {
@@ -37,18 +49,24 @@ func Build(rel *relation.Relation) *Table {
 	if size < 2 {
 		size = 2
 	}
-	t := &Table{
-		rel:    rel,
-		bucket: make([]int32, size),
-		next:   make([]int32, n+1),
-		shift:  64 - log2(uint64(size)),
+	if cap(t.bucket) < size {
+		t.bucket = make([]int32, size)
+	} else {
+		t.bucket = t.bucket[:size]
+		clear(t.bucket)
 	}
+	if cap(t.next) < n+1 {
+		t.next = make([]int32, n+1)
+	} else {
+		t.next = t.next[:n+1]
+	}
+	t.rel = rel
+	t.shift = 64 - log2(uint64(size))
 	for i := 0; i < n; i++ {
 		b := t.slot(rel.Key(i))
 		t.next[i+1] = t.bucket[b]
 		t.bucket[b] = int32(i + 1)
 	}
-	return t
 }
 
 func (t *Table) slot(key uint64) uint64 {

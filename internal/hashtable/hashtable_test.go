@@ -196,3 +196,24 @@ func TestPropertyMaterializeConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRebuildReusesStorage rebuilds one table over a large, a small and a
+// different large build side, with a stale chain array in between: every
+// probe must match a table built fresh over the same tuples.
+func TestRebuildReusesStorage(t *testing.T) {
+	var tbl Table
+	for round, n := range []int{5000, 37, 4096, 1, 6000} {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64((i*7 + round*13) % (n/2 + 1)) // duplicates on purpose
+		}
+		inner := buildRel(keys)
+		outer := buildRel(keys[:n/2+1])
+		tbl.Rebuild(inner)
+		gotM, gotC := tbl.ProbeRelation(outer)
+		wantM, wantC := Build(inner).ProbeRelation(outer)
+		if gotM != wantM || gotC != wantC || tbl.Len() != n {
+			t.Fatalf("round %d (n=%d): rebuilt table %d/%d, fresh %d/%d", round, n, gotM, gotC, wantM, wantC)
+		}
+	}
+}

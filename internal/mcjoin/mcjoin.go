@@ -137,11 +137,15 @@ func RadixJoin(inner, outer *relation.Relation, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// mcWorker carries one thread's kernel scratch (partitioner staging,
-// probe batch) and match accumulators across its tasks.
+// mcWorker carries one thread's kernel scratch (partitioner staging and
+// destinations, hash table, probe batch) and match accumulators across
+// its tasks: each task overwrites the previous one's scratch.
 type mcWorker struct {
 	kern     radix.Kernel
 	pt       *radix.Partitioner
+	subR     relation.Buffer
+	subS     relation.Buffer
+	tbl      hashtable.Table
 	batch    hashtable.Batch
 	matches  uint64
 	checksum uint64
@@ -157,8 +161,8 @@ func (w *mcWorker) joinPartition(r, s *relation.Relation, b1, b2 uint) (localTim
 		return 0, time.Since(start)
 	}
 	start := time.Now()
-	subR, bR := w.pt.Partition(r, b1, b2)
-	subS, bS := w.pt.Partition(s, b1, b2)
+	subR, bR := w.pt.Partition(&w.subR, r, b1, b2)
+	subS, bS := w.pt.Partition(&w.subS, s, b1, b2)
 	localTime = time.Since(start)
 
 	start = time.Now()
@@ -172,7 +176,8 @@ func (w *mcWorker) buildProbe(r, s *relation.Relation) {
 	if r.Len() == 0 || s.Len() == 0 {
 		return
 	}
-	tbl := hashtable.Build(r)
+	tbl := &w.tbl
+	tbl.Rebuild(r)
 	var m, c uint64
 	if w.kern.BatchProbe(tbl.Len()) {
 		m, c = tbl.ProbeRelationBatch(s, &w.batch)

@@ -108,25 +108,28 @@ func NewPartitioner(k Kernel) *Partitioner { return &Partitioner{kern: k} }
 // Kernel returns the configured (unresolved) kernel knob.
 func (pt *Partitioner) Kernel() Kernel { return pt.kern }
 
-// Partition radix-partitions rel by (shift, bits) into a freshly
-// allocated cache-line-aligned relation and returns it together with the
-// per-partition bounds (len 2^bits+1).
-func (pt *Partitioner) Partition(rel *relation.Relation, shift, bits uint) (*relation.Relation, []int64) {
+// Partition radix-partitions rel by (shift, bits) into dst's reusable
+// cache-line-aligned storage and returns the partitioned relation (a view
+// of dst, valid until dst's next use) together with the per-partition
+// bounds (len 2^bits+1). dst grows only when rel is larger than any
+// relation it held before, and is not cleared: the histogram-exact
+// scatter writes every tuple of the returned view.
+func (pt *Partitioner) Partition(dst *relation.Buffer, rel *relation.Relation, shift, bits uint) (*relation.Relation, []int64) {
 	h := Histogram(rel, shift, bits)
 	cursors, _ := PrefixSum(h)
-	dst := relation.NewAligned(rel.Width(), rel.Len())
+	out := dst.Relation(rel.Width(), rel.Len())
 	switch pt.kern.Resolve(rel.Width(), bits) {
 	case KernelWC:
 		if pt.wc == nil {
 			pt.wc = NewWCBuffers(1<<bits, rel.Width())
 		}
 		before := pt.wc.Flushes
-		ScatterWC(rel, dst, cursors, shift, bits, pt.wc)
+		ScatterWC(rel, out, cursors, shift, bits, pt.wc)
 		pt.Flushes += pt.wc.Flushes - before
 		pt.BytesWC += uint64(rel.Size())
 	default:
-		Scatter(rel, dst, cursors, shift, bits)
+		Scatter(rel, out, cursors, shift, bits)
 		pt.BytesScalar += uint64(rel.Size())
 	}
-	return dst, Bounds(h)
+	return out, Bounds(h)
 }

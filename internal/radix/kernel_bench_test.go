@@ -133,10 +133,11 @@ func BenchmarkKernelPartition(b *testing.B) {
 		for _, bits := range []uint{10} {
 			b.Run(fmt.Sprintf("%v/w16/bits%d", kern, bits), func(b *testing.B) {
 				pt := NewPartitioner(kern)
+				var dst relation.Buffer
 				b.SetBytes(int64(src.Size()))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					pt.Partition(src, 0, bits)
+					pt.Partition(&dst, src, 0, bits)
 				}
 			})
 		}

@@ -212,12 +212,39 @@ func TestKernelParseResolve(t *testing.T) {
 	}
 }
 
+// TestPartitionerReusedDestination partitions into one destination
+// buffer over and over — shrinking, then growing past the high-water
+// mark — and checks every pass against a fresh single-pass scatter: the
+// buffer is never cleared, so a kernel that skipped a byte would leak the
+// previous pass's tuples into the result.
+func TestPartitionerReusedDestination(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, kern := range []Kernel{KernelScalar, KernelWC} {
+		pt := NewPartitioner(kern)
+		var buf relation.Buffer
+		for _, n := range []int{4096, 1000, 4096, 7000, 3} {
+			src := randRel(rng, relation.Width16, n)
+			got, bounds := pt.Partition(&buf, src, 0, 6)
+			if !got.Aligned() {
+				t.Fatalf("%v n=%d: reused destination not cache-line aligned", kern, n)
+			}
+			want := relation.New(relation.Width16, n)
+			cursors, _ := PrefixSum(Histogram(src, 0, 6))
+			Scatter(src, want, cursors, 0, 6)
+			if len(bounds) != 65 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%v n=%d: reused-destination partition differs from a fresh scatter", kern, n)
+			}
+		}
+	}
+}
+
 func TestPartitioner(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := randRel(rng, relation.Width16, 4096)
 	for _, kern := range []Kernel{KernelAuto, KernelScalar, KernelWC} {
 		pt := NewPartitioner(kern)
-		dst, bounds := pt.Partition(src, 0, 8)
+		var buf relation.Buffer
+		dst, bounds := pt.Partition(&buf, src, 0, 8)
 		if dst.Len() != src.Len() || len(bounds) != 257 {
 			t.Fatalf("%v: dst len %d bounds %d", kern, dst.Len(), len(bounds))
 		}
@@ -232,7 +259,7 @@ func TestPartitioner(t *testing.T) {
 			}
 		}
 		// A second pass reuses scratch and keeps accumulating telemetry.
-		pt.Partition(src, 8, 8)
+		pt.Partition(&buf, src, 8, 8)
 		// Flushes is only non-zero on the software-staged (purego) path, so
 		// the assertions here stick to the byte counters.
 		switch kern.Resolve(relation.Width16, 8) {

@@ -363,8 +363,11 @@ type MemoryRegion struct {
 	lkey   uint32
 	rkey   uint32
 
-	mu     sync.Mutex
-	closed bool
+	// closed is checked by every verb touching the region; atomic because
+	// one region may back many queue pairs' buffers (a machine's arena
+	// carves all its receive rings from one), so a mutex here would
+	// serialize every delivery lane and posting thread on it.
+	closed atomic.Bool
 }
 
 // LKey returns the local access key.
@@ -377,6 +380,9 @@ func (mr *MemoryRegion) RKey() uint32 { return mr.rkey }
 // Len returns the region length in bytes.
 func (mr *MemoryRegion) Len() int { return len(mr.buf) }
 
+// Access returns the access flags the region was registered with.
+func (mr *MemoryRegion) Access() Access { return mr.access }
+
 // Bytes exposes the underlying buffer. The caller owns synchronisation
 // with outstanding work requests, exactly as on real hardware.
 func (mr *MemoryRegion) Bytes() []byte { return mr.buf }
@@ -384,22 +390,14 @@ func (mr *MemoryRegion) Bytes() []byte { return mr.buf }
 // Deregister unpins the region. Outstanding operations targeting it will
 // complete with StatusRemoteAccessError / StatusLocalProtectionError.
 func (mr *MemoryRegion) Deregister() error {
-	mr.mu.Lock()
-	if mr.closed {
-		mr.mu.Unlock()
+	if !mr.closed.CompareAndSwap(false, true) {
 		return ErrDeregistered
 	}
-	mr.closed = true
-	mr.mu.Unlock()
 	mr.pd.dev.deregisterMR(mr)
 	return nil
 }
 
-func (mr *MemoryRegion) valid() bool {
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	return !mr.closed
-}
+func (mr *MemoryRegion) valid() bool { return !mr.closed.Load() }
 
 // slice bounds-checks and returns the byte range [off, off+n).
 func (mr *MemoryRegion) slice(off, n int) ([]byte, error) {

@@ -37,3 +37,29 @@ func NewAligned(width, n int) *Relation {
 func (r *Relation) Aligned() bool {
 	return len(r.data) == 0 || alignOffset(r.data) == 0
 }
+
+// Buffer is reusable cache-line-aligned tuple storage: scratch that a
+// worker partitions into over and over without allocating (or zeroing)
+// per use. The zero value is an empty buffer.
+type Buffer struct {
+	data []byte
+}
+
+// Relation returns a relation of n tuples over the buffer, growing the
+// storage only when it is smaller than n×width bytes. The bytes keep
+// whatever the previous use left there: the caller must write every
+// tuple before reading it (a histogram-exact scatter does). The returned
+// relation is valid until the next call.
+func (b *Buffer) Relation(width, n int) *Relation {
+	if !ValidWidth(width) {
+		panic(fmt.Sprintf("relation: invalid tuple width %d", width))
+	}
+	if n < 0 {
+		panic("relation: negative tuple count")
+	}
+	size := n * width
+	if size > len(b.data) {
+		b.data = AlignedBytes(size)
+	}
+	return &Relation{width: width, data: b.data[:size:size]}
+}

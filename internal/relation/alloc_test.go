@@ -96,3 +96,32 @@ func TestCopyWords(t *testing.T) {
 		}
 	}
 }
+
+// TestBufferGrowsOnlyPastHighWater: a Buffer hands out aligned relations
+// of the requested size, keeps its storage (and its stale bytes) for
+// smaller requests, and reallocates only when a request outgrows it.
+func TestBufferGrowsOnlyPastHighWater(t *testing.T) {
+	var b Buffer
+	r := b.Relation(Width16, 100)
+	if r.Len() != 100 || !r.Aligned() {
+		t.Fatalf("len %d aligned %v", r.Len(), r.Aligned())
+	}
+	r.SetKey(0, 42)
+	small := b.Relation(Width32, 10)
+	if small.Len() != 10 || &small.Bytes()[0] != &r.Bytes()[0] {
+		t.Fatal("a smaller request must reuse the storage")
+	}
+	if small.Key(0) != 42 {
+		t.Fatal("reuse must not clear the storage")
+	}
+	if cap(small.Bytes()) != small.Size() {
+		t.Fatal("views must be capped to their size")
+	}
+	big := b.Relation(Width64, 1000)
+	if big.Len() != 1000 || !big.Aligned() || &big.Bytes()[0] == &r.Bytes()[0] {
+		t.Fatal("a larger request must grow the storage")
+	}
+	if b.Relation(Width16, 0).Len() != 0 {
+		t.Fatal("empty relation")
+	}
+}
