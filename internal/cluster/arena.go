@@ -29,14 +29,19 @@ var ErrClosed = errors.New("cluster: closed")
 type Arena struct {
 	pd *rdma.ProtectionDomain
 
-	mu       sync.Mutex
-	closed   bool
-	regions  map[string]*rdma.MemoryRegion
-	resident map[string]any
+	// Scratch is the machine's unregistered per-machine CPU scratch (the
+	// local pass's partition outputs and hash tables), owned by the join
+	// engine and kept across joins. It is only read or set under a lease,
+	// and, being plain heap memory, lives as long as the Cluster value.
+	Scratch any
+
+	mu      sync.Mutex
+	closed  bool
+	regions map[string]*rdma.MemoryRegion
 }
 
 func newArena(pd *rdma.ProtectionDomain) *Arena {
-	return &Arena{pd: pd, regions: make(map[string]*rdma.MemoryRegion), resident: make(map[string]any)}
+	return &Arena{pd: pd, regions: make(map[string]*rdma.MemoryRegion)}
 }
 
 // Region returns the region named key: a registered, cache-line-aligned
@@ -76,22 +81,6 @@ func (a *Arena) Region(key string, n int, access rdma.Access) (*rdma.MemoryRegio
 	return mr, nil
 }
 
-// Resident returns the arena's unregistered resident object named key,
-// creating it with mk on first use: per-machine CPU scratch (e.g. the
-// local pass's partition outputs and hash tables) that lives as long as
-// the machine instead of one join. The object is only used under a lease,
-// so it needs no locking of its own.
-func Resident[T any](a *Arena, key string, mk func() *T) *T {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if v, ok := a.resident[key]; ok {
-		return v.(*T)
-	}
-	v := mk()
-	a.resident[key] = v
-	return v
-}
-
 // release deregisters every region. With close set the arena also refuses
 // further use; otherwise the next lease re-registers on demand.
 func (a *Arena) release(close bool) {
@@ -103,7 +92,6 @@ func (a *Arena) release(close bool) {
 	}
 	if close {
 		a.closed = true
-		clear(a.resident)
 	}
 }
 

@@ -120,19 +120,3 @@ func TestLeaseSerializes(t *testing.T) {
 	first.Release(false)
 	<-done
 }
-
-// TestResidentPerArena: Resident creates once per key and arena.
-func TestResidentPerArena(t *testing.T) {
-	c := newTestCluster(t, 2, 1)
-	l := c.Lease()
-	defer l.Release(false)
-	made := 0
-	mk := func() *[]int { made++; return new([]int) }
-	a := Resident(l.Arena(0), "scratch", mk)
-	if Resident(l.Arena(0), "scratch", mk) != a || made != 1 {
-		t.Fatal("Resident recreated an existing object")
-	}
-	if Resident(l.Arena(1), "scratch", mk) == a || made != 2 {
-		t.Fatal("machines must not share resident objects")
-	}
-}

@@ -734,7 +734,10 @@ func (st *machineState) arenaRelation(key string, n int64, access rdma.Access) (
 	if err != nil || mr == nil {
 		return relation.New(st.width, 0), nil, err
 	}
-	rel, err := relation.View(st.width, mr.Bytes()[:size])
+	// Cap the view at this join's size: the region may be larger (its size
+	// is the high-water mark), and a slice past the join's tuples must
+	// panic rather than read a previous join's stale tail.
+	rel, err := relation.View(st.width, mr.Bytes()[:size:size])
 	return rel, mr, err
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rackjoin/internal/cluster"
 	"rackjoin/internal/hashtable"
 	"rackjoin/internal/metrics"
 	"rackjoin/internal/radix"
@@ -71,13 +70,15 @@ type scratchSet struct {
 
 // localScratch returns the machine's resident local-pass scratch.
 func (st *machineState) localScratch() *localPassScratch {
-	return cluster.Resident(st.arena, "core.localpass", func() *localPassScratch {
-		ls := &localPassScratch{workers: make([]*workerScratch, st.m.Cores)}
-		for i := range ls.workers {
-			ls.workers[i] = &workerScratch{}
-		}
+	if ls, ok := st.arena.Scratch.(*localPassScratch); ok {
 		return ls
-	})
+	}
+	ls := &localPassScratch{workers: make([]*workerScratch, st.m.Cores)}
+	for i := range ls.workers {
+		ls.workers[i] = &workerScratch{}
+	}
+	st.arena.Scratch = ls
+	return ls
 }
 
 // resetScratch voids the references a previous join left on this

@@ -116,7 +116,7 @@ func (p *bufferPool) off(i int32) int { return p.base + int(i)*p.bufSize }
 // buf returns the byte range of buffer i.
 func (p *bufferPool) buf(i int32) []byte {
 	off := p.off(i)
-	return p.mr.Bytes()[off : off+p.bufSize]
+	return p.mr.Bytes()[off : off+p.bufSize : off+p.bufSize]
 }
 
 // reap recycles all already-available completions without blocking.

@@ -73,7 +73,7 @@ func (r *recvRing) post(slot int) error {
 
 func (r *recvRing) payload(slot, length int) []byte {
 	off := r.base + slot*r.bufSz
-	return r.mr.Bytes()[off : off+length]
+	return r.mr.Bytes()[off : off+length : off+length]
 }
 
 // postReceiveRings is a hook kept for symmetry: rings are created during

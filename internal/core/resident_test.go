@@ -11,6 +11,7 @@ import (
 	"rackjoin/internal/datagen"
 	"rackjoin/internal/fabric"
 	"rackjoin/internal/metrics"
+	"rackjoin/internal/rdma"
 	"rackjoin/internal/relation"
 )
 
@@ -124,15 +125,20 @@ func TestSteadyStateResources(t *testing.T) {
 }
 
 // TestStaleMemoryDifferential reuses one cluster for a larger join, a
-// smaller join of different data, and the larger one again: the arena
-// is never cleared, so any byte a join reads without having written it
-// (a short slab fill, a stale cursor, a ring payload read past its
+// smaller join of different data, and a larger join again: the arena is
+// never cleared, so any byte a join reads without having written it (a
+// short slab fill, a stale cursor, a ring payload read past its
 // completion length, a reused partition or hash-table buffer) surfaces
-// as a result differing from ExpectedJoin. Every transport, barrier and
-// pipelined, skew engine off and splitting.
+// as a result differing from ExpectedJoin. The second larger join has
+// its own seed: had it repeated the first one's data, every byte past
+// the smaller join's footprint would still hold exactly what it must
+// write there, and a skipped write would go unnoticed. Every transport,
+// barrier and pipelined, skew engine off and splitting.
 func TestStaleMemoryDifferential(t *testing.T) {
 	large := datagen.Config{InnerTuples: 1 << 12, OuterTuples: 1 << 15, Skew: datagen.SkewHigh, Seed: 7}
 	small := datagen.Config{InnerTuples: 1 << 10, OuterTuples: 1 << 13, Skew: datagen.SkewHigh, Seed: 8}
+	largeAgain := large
+	largeAgain.Seed = 9
 	for _, tr := range allTransports {
 		for _, pipelined := range []bool{false, true} {
 			for _, mode := range []SkewMode{SkewOff, SkewSplit} {
@@ -147,7 +153,7 @@ func TestStaleMemoryDifferential(t *testing.T) {
 					cfg.Transport = tr
 					cfg.Pipeline = pipelined
 					cfg.Skew = mode
-					for _, dcfg := range []datagen.Config{large, small, large} {
+					for _, dcfg := range []datagen.Config{large, small, largeAgain} {
 						res := joinOn(t, c, dcfg, cfg)
 						if mode == SkewSplit && tr != TransportOneSidedRead && len(res.Skew.SplitPartitions) == 0 {
 							t.Fatal("skew engine split nothing: the split paths went untested")
@@ -264,4 +270,36 @@ func TestScratchSetReferences(t *testing.T) {
 	if len(ws.sets) != 2 {
 		t.Fatalf("worker grew %d sets, want 2 (the high-water mark)", len(ws.sets))
 	}
+}
+
+// TestArenaRelationCapped: a relation carved from a region larger than
+// the join needs (the high-water mark of an earlier, larger join) ends at
+// the join's own tuples, so slicing past them panics instead of reading
+// the earlier join's stale tail.
+func TestArenaRelationCapped(t *testing.T) {
+	c, err := cluster.New(cluster.Config{Machines: 1, CoresPerMachine: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	l := c.Lease()
+	defer l.Release(false)
+	st := &machineState{arena: l.Arena(0), width: 16}
+	_, big, err := st.arenaRelation(regionSlabR, 1000, rdma.AccessLocalWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, mr, err := st.arenaRelation(regionSlabR, 10, rdma.AccessLocalWrite)
+	if err != nil || mr != big {
+		t.Fatalf("shrunken slab did not reuse the high-water region: %v", err)
+	}
+	if rel.Len() != 10 || cap(rel.Bytes()) != 10*16 {
+		t.Fatalf("slab of %d tuples has len %d, cap %d bytes", 10, rel.Len(), cap(rel.Bytes()))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("slicing a shrunken slab past its length did not panic")
+		}
+	}()
+	rel.Slice(0, 11)
 }

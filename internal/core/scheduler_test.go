@@ -111,20 +111,26 @@ func TestSchedulerStealsFromLoadedWorker(t *testing.T) {
 }
 
 // TestSchedulerSpillsOverflowToInjector pushes more children than one
-// deque holds; the overflow must spill to the injector and still run.
-// One worker: a second one could steal children as fast as they are
-// pushed, so the deque would never fill and the spill would not happen.
+// deque holds; the overflow must spill to the injector and still run
+// while the second worker steals from the full deque. That worker is
+// held in a gate task until the pusher's loop ends, or it could steal
+// children as fast as they are pushed and the deque would never fill.
+// The injector is drained before peers are stolen from, so whichever
+// worker does not take the pusher takes the gate.
 func TestSchedulerSpillsOverflowToInjector(t *testing.T) {
-	const workers = 1
+	const workers = 2
 	const children = dequeCap + 50
 	s := newScheduler(workers)
 	var ran atomic.Int64
-	s.reserve(1)
+	pushed := make(chan struct{})
+	s.reserve(2)
 	s.inject(func(w *joinWorker) {
 		for i := 0; i < children; i++ {
 			w.push(func(*joinWorker) { ran.Add(1) })
 		}
+		close(pushed)
 	})
+	s.inject(func(*joinWorker) { <-pushed })
 	runSchedWorkers(s, workers)
 	if got := ran.Load(); got != children {
 		t.Fatalf("ran %d children, want %d", got, children)
