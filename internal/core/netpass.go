@@ -342,34 +342,41 @@ func (st *machineState) partitionThread(t int) error {
 	return nil
 }
 
-// threadState carries the per-partition cursors of one scatter pass. Each
-// partitioning thread keeps one for the whole join: reset re-aims it at
-// the next slice without allocating.
-type threadState struct {
-	localCur  []int64 // byte cursor into the local slab; -1 for remote partitions
-	curBuf    []int32 // current pool buffer per remote partition; -1 if none
-	fill      []int32 // tuples in the current buffer
-	remoteCur []int64 // one-sided: next tuple offset within the owner's slab
-	scratch   []byte  // stream transport staging area
-	wcCopy    bool    // kernel knob: word-copy tuples instead of memmove
+// route is how scatterSlice moves one partition's tuples of a relation
+// (DESIGN.md §8, "Routed network-pass scatter").
+type route uint8
 
-	// Broadcast state (inner relation of work-shared partitions): one
-	// buffer and remote cursor per (broadcast partition, destination),
-	// indexed by partition — nil rows for partitions that are not
-	// broadcast. bcastBuf is bcastRows during the inner scatter and the
-	// all-nil noBcast during the outer one, so the hot loop's check is a
-	// single slice load.
-	bcastBuf, noBcast, bcastRows [][]int32
-	bcastFill                    [][]int32
-	bcastCur                     [][]int64
-	// Split state (outer relation of skew-split partitions): split aliases
-	// st.split during the outer scatter (nil otherwise — one predicted-away
-	// nil check per remote tuple when the skew engine is off), and the
+const (
+	routeLocal  route = iota // kernel window on the thread's exact slab range
+	routeRemote              // kernel window on the current pool buffer; closed until one is acquired
+	routeBcast               // closed window; replicate writes the local replica and a buffer per peer
+	routeSplit               // closed window; dealSplit deals tuples round-robin across machines
+)
+
+// threadState is one partitioning thread's route table for the network
+// pass. Each thread keeps one for the whole join: resetThreadState
+// re-aims it at the next slice without allocating.
+type threadState struct {
+	win       *radix.Windows // per-partition windows of the routed kernel
+	route     []route        // per partition, for the current relation
+	curBuf    []int32        // pool buffer behind each open remote window; -1 if none
+	remoteCur []int64        // one-sided: next tuple offset within the owner's slab
+	scratch   []byte         // stream transport staging area
+
+	// Broadcast state (inner relation of work-shared partitions), nil
+	// rows for partitions that are not broadcast: bcastLocal[p] is the
+	// unwritten rest of this thread's range of the local replica, and
+	// one buffer and remote cursor per (partition, destination) carry
+	// the replicas to the peers.
+	bcastLocal [][]byte
+	bcastBuf   [][]int32
+	bcastFill  [][]int32
+	bcastCur   [][]int64
+	// Split state (outer relation of skew-split partitions): the
 	// round-robin dealer fills one buffer per (partition, destination),
 	// nil rows for unsplit partitions. Exact one-sided cursors live on
 	// machineState (splitRemoteCur): they are shared across threads,
 	// unlike the per-thread bcastCur.
-	split     []bool
 	splitBuf  [][]int32
 	splitFill [][]int32
 	// repBytes counts tuple bytes replicated into broadcast buffers —
@@ -398,27 +405,26 @@ func (st *machineState) threadState(t int, isS bool) *threadState {
 	return ts
 }
 
-// newThreadState allocates one thread's per-partition state for this join.
+// newThreadState allocates one thread's route table for this join.
 func (st *machineState) newThreadState() *threadState {
 	ts := &threadState{
-		localCur:  make([]int64, st.np),
-		curBuf:    make([]int32, st.np),
-		fill:      make([]int32, st.np),
-		remoteCur: make([]int64, st.np),
-		wcCopy:    st.cfg.Kernels.Resolve(st.width, st.cfg.NetworkBits) == radix.KernelWC,
-		noBcast:   make([][]int32, st.np),
-		bcastRows: make([][]int32, st.np),
-		bcastFill: make([][]int32, st.np),
-		bcastCur:  make([][]int64, st.np),
-		splitBuf:  make([][]int32, st.np),
-		splitFill: make([][]int32, st.np),
+		win:        radix.NewWindows(st.width, st.cfg.NetworkBits, st.cfg.Kernels),
+		route:      make([]route, st.np),
+		curBuf:     make([]int32, st.np),
+		remoteCur:  make([]int64, st.np),
+		bcastLocal: make([][]byte, st.np),
+		bcastBuf:   make([][]int32, st.np),
+		bcastFill:  make([][]int32, st.np),
+		bcastCur:   make([][]int64, st.np),
+		splitBuf:   make([][]int32, st.np),
+		splitFill:  make([][]int32, st.np),
 	}
 	if st.cfg.Transport == TransportStream {
 		ts.scratch = make([]byte, st.cfg.BufferSize)
 	}
 	for p := 0; p < st.np; p++ {
 		if st.broadcast[p] { // includes split partitions' inner side
-			ts.bcastRows[p] = make([]int32, st.nm)
+			ts.bcastBuf[p] = make([]int32, st.nm)
 			ts.bcastFill[p] = make([]int32, st.nm)
 			ts.bcastCur[p] = make([]int64, st.nm)
 		}
@@ -430,57 +436,66 @@ func (st *machineState) newThreadState() *threadState {
 	return ts
 }
 
-// resetThreadState aims ts at thread t's slice of one relation.
+// resetThreadState builds thread t's route table for its slice of one
+// relation: every partition's route and, for routeLocal, the window on
+// the thread's exact slab range. Remote windows start closed.
 func (st *machineState) resetThreadState(ts *threadState, t int, isS bool) {
 	hists := st.threadHistR
 	all := st.allHistR
 	slabOff := st.slabOffR
-	ts.bcastBuf, ts.split = ts.bcastRows, nil
+	slab := st.slabR.Bytes()
 	if isS {
 		hists = st.threadHistS
 		all = st.allHistS
 		slabOff = st.slabOffS
-		ts.bcastBuf, ts.split = ts.noBcast, st.split
+		slab = st.slabS.Bytes()
 	}
 	ts.repBytes = 0
 	w := int64(st.width)
 	for p := 0; p < st.np; p++ {
 		ts.curBuf[p] = -1
-		ts.fill[p] = 0
+		ts.win.Close(p)
 		switch {
 		case isS && st.isSplit(p):
 			// The outer side of a split partition goes through the shared
-			// round-robin dealer: no per-thread local cursor, one deal
+			// round-robin dealer: no per-thread local range, one deal
 			// buffer per destination.
-			ts.localCur[p] = -1
+			ts.route[p] = routeSplit
 			for d := range ts.splitBuf[p] {
 				ts.splitBuf[p][d] = -1
 				ts.splitFill[p][d] = 0
 			}
 		case st.residentHere(p):
-			ts.localCur[p] = (st.localWriteBase(p, isS) + threadPrefix(hists, t, p)) * w
-			if bufs := ts.bcastBuf[p]; bufs != nil {
-				// The inner side of a work-shared partition is written
-				// locally AND replicated to every peer.
-				for d := 0; d < st.nm; d++ {
-					bufs[d] = -1
-					ts.bcastFill[p][d] = 0
-					if d != st.m.ID {
-						ts.bcastCur[p][d] = slabOff[d][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
-					}
+			lo := (st.localWriteBase(p, isS) + threadPrefix(hists, t, p)) * w
+			hi := lo + hists[t][p]*w
+			if isS || !st.broadcast[p] {
+				ts.route[p] = routeLocal
+				ts.win.Set(p, slab[lo:hi:hi], int(hists[t][p]))
+				continue
+			}
+			// The inner side of a work-shared partition is written
+			// locally AND replicated to every peer.
+			ts.route[p] = routeBcast
+			ts.bcastLocal[p] = slab[lo:hi:hi]
+			for d := 0; d < st.nm; d++ {
+				ts.bcastBuf[p][d] = -1
+				ts.bcastFill[p][d] = 0
+				if d != st.m.ID {
+					ts.bcastCur[p][d] = slabOff[d][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
 				}
 			}
 		default:
-			ts.localCur[p] = -1
+			ts.route[p] = routeRemote
 			ts.remoteCur[p] = slabOff[st.owner[p]][p] + machinePrefix(all, st.m.ID, p) + threadPrefix(hists, t, p)
 		}
 	}
 }
 
-// scatterSlice is the hot loop of the network partitioning pass: it walks
-// this thread's contiguous input slice and routes every tuple either into
-// the local destination slab or into the RDMA buffer of its remote
-// partition, shipping buffers as they fill.
+// scatterSlice is the network partitioning pass of one thread over its
+// contiguous input slice: the routed kernel writes every tuple into its
+// partition's window — the local slab range or the remote partition's
+// RDMA buffer — and returns only when a buffer filled (shipped at once)
+// or a tuple needs the slow path.
 //
 //rack:hotpath
 func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) error {
@@ -488,104 +503,67 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 	n := rel.Len()
 	data := rel.Bytes()[n*t/st.partThreads*width : n*(t+1)/st.partThreads*width]
 	ts := st.threadState(t, isS)
-	pool := st.pools[t]
-
-	slab := st.slabR
-	if isS {
-		slab = st.slabS
-	}
-	slabBytes := slab.Bytes()
-	mask := uint64(st.np - 1)
-	capTuples := int32(st.cfg.BufferSize / width)
-
-	// The tuple move is the hot instruction of this loop: the wc kernel
-	// copies whole words through relation.CopyTuple (no memmove dispatch,
-	// adjacent stores combine in the store buffer); the scalar kernel keeps
-	// the plain copy as the ablation baseline. The branch on ts.wcCopy is
-	// loop-invariant and predicted away.
-	for off := 0; off < len(data); off += width {
-		tuple := data[off : off+width]
-		p := int(binary.LittleEndian.Uint64(tuple) & mask)
-		if cur := ts.localCur[p]; cur >= 0 {
-			if ts.wcCopy {
-				relation.CopyTuple(slabBytes[cur:], tuple, width)
-			} else {
-				copy(slabBytes[cur:], tuple)
-			}
-			ts.localCur[p] = cur + int64(width)
-			if bufs := ts.bcastBuf[p]; bufs != nil {
-				if err := st.replicate(t, ts, p, tuple, bufs, capTuples); err != nil {
+	for rest := data; len(rest) > 0; {
+		k, p, full := ts.win.Scatter(rest)
+		rest = rest[k:]
+		if p < 0 {
+			break
+		}
+		if full {
+			// A full local window is the partition's last tuple of this
+			// slice: nothing to ship, and a further tuple is an overflow.
+			if ts.route[p] == routeRemote {
+				if err := st.flush(t, ts, p, isS); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		if ts.split != nil && ts.split[p] {
-			if err := st.dealSplit(t, ts, p, tuple, capTuples); err != nil {
-				return err
-			}
-			continue
-		}
-		b := ts.curBuf[p]
-		if b < 0 {
-			var err error
+		// rest[:width] belongs to p, whose window is closed or full.
+		var err error
+		switch ts.route[p] {
+		case routeRemote:
+			// Open the window on a fresh buffer; the kernel writes the
+			// tuple on its next call.
+			var b int32
 			if b, err = st.acquireFor(t, ts); err != nil {
 				return err
 			}
 			ts.curBuf[p] = b
-			ts.fill[p] = 0
+			ts.win.Set(p, st.pools[t].buf(b), st.cfg.BufferSize/width)
+			continue
+		case routeBcast:
+			err = st.replicate(t, ts, p, rest[:width])
+		case routeSplit:
+			err = st.dealSplit(t, ts, p, rest[:width])
+		default:
+			err = st.localOverflow(t, p, isS)
 		}
-		if ts.wcCopy {
-			relation.CopyTuple(pool.buf(b)[int(ts.fill[p])*width:], tuple, width)
-		} else {
-			copy(pool.buf(b)[int(ts.fill[p])*width:], tuple)
+		if err != nil {
+			return err
 		}
-		ts.fill[p]++
-		if ts.fill[p] == capTuples {
+		rest = rest[width:]
+	}
+	// Input bytes plus the broadcast replicas: the scatter kernels wrote
+	// both, so kernel_bytes_total must see both.
+	st.netKernelBytes.Add(uint64(len(data)) + ts.repBytes)
+	// Ship partial buffers. A buffer is only ever acquired for a tuple
+	// it then receives, so every held buffer is non-empty.
+	for p := 0; p < st.np; p++ {
+		if ts.curBuf[p] >= 0 {
 			if err := st.flush(t, ts, p, isS); err != nil {
 				return err
 			}
 		}
-	}
-	// Input bytes plus the broadcast replicas: the scatter kernels wrote
-	// both, so kernel_bytes_total must see both (replicated bytes used
-	// to bypass this accounting).
-	st.netKernelBytes.Add(uint64(len(data)) + ts.repBytes)
-	// Ship partial buffers; return untouched ones to the pool.
-	for p := 0; p < st.np; p++ {
-		if ts.curBuf[p] >= 0 {
-			if ts.fill[p] == 0 {
-				pool.release(ts.curBuf[p])
-				ts.curBuf[p] = -1
-			} else if err := st.flush(t, ts, p, isS); err != nil {
-				return err
-			}
-		}
-		if bufs := ts.bcastBuf[p]; bufs != nil {
-			for d := range bufs {
-				if bufs[d] < 0 {
-					continue
-				}
-				if ts.bcastFill[p][d] == 0 {
-					pool.release(bufs[d])
-					bufs[d] = -1
-					continue
-				}
+		for d, b := range ts.bcastBuf[p] {
+			if b >= 0 {
 				if err := st.flushBcast(t, ts, p, d); err != nil {
 					return err
 				}
 			}
 		}
-		if bufs := ts.splitBuf[p]; bufs != nil && isS {
-			for d := range bufs {
-				if bufs[d] < 0 {
-					continue
-				}
-				if ts.splitFill[p][d] == 0 {
-					pool.release(bufs[d])
-					bufs[d] = -1
-					continue
-				}
+		for d, b := range ts.splitBuf[p] {
+			if b >= 0 && isS {
 				if err := st.flushSplit(t, ts, p, d); err != nil {
 					return err
 				}
@@ -598,11 +576,32 @@ func (st *machineState) scatterSlice(t int, rel *relation.Relation, isS bool) er
 	return st.drainParked(t, ts)
 }
 
-// replicate appends one inner tuple of broadcast partition p to the
-// per-destination buffers, shipping any that fill up.
-func (st *machineState) replicate(t int, ts *threadState, p int, tuple []byte, bufs []int32, capTuples int32) error {
+// localOverflow is the error for a tuple of local partition p beyond
+// thread t's histogram count for it: writing it would overwrite the
+// neighbouring partition's slab range.
+func (st *machineState) localOverflow(t, p int, isS bool) error {
+	rel, hists := "R", st.threadHistR
+	if isS {
+		rel, hists = "S", st.threadHistS
+	}
+	return fmt.Errorf("core: machine %d: partition %d of %s: thread %d routed more than its %d histogram-counted tuples into the local slab",
+		st.m.ID, p, rel, t, hists[t][p])
+}
+
+// replicate writes one inner tuple of broadcast partition p into the
+// local replica and appends it to the per-destination buffers, shipping
+// any that fill up.
+func (st *machineState) replicate(t int, ts *threadState, p int, tuple []byte) error {
+	width := st.width
+	local := ts.bcastLocal[p]
+	if len(local) < width {
+		return st.localOverflow(t, p, false)
+	}
+	copy(local[:width], tuple)
+	ts.bcastLocal[p] = local[width:]
 	pool := st.pools[t]
-	fill := ts.bcastFill[p]
+	bufs, fill := ts.bcastBuf[p], ts.bcastFill[p]
+	capTuples := int32(st.cfg.BufferSize / width)
 	for d := 0; d < st.nm; d++ {
 		if d == st.m.ID {
 			continue
@@ -616,13 +615,9 @@ func (st *machineState) replicate(t int, ts *threadState, p int, tuple []byte, b
 			bufs[d] = b
 			fill[d] = 0
 		}
-		if ts.wcCopy {
-			relation.CopyTuple(pool.buf(b)[int(fill[d])*st.width:], tuple, st.width)
-		} else {
-			copy(pool.buf(b)[int(fill[d])*st.width:], tuple)
-		}
+		copy(pool.buf(b)[int(fill[d])*width:], tuple)
 		fill[d]++
-		ts.repBytes += uint64(st.width)
+		ts.repBytes += uint64(width)
 		if fill[d] == capTuples {
 			if err := st.flushBcast(t, ts, p, d); err != nil {
 				return err
@@ -638,18 +633,13 @@ func (st *machineState) replicate(t int, ts *threadState, p int, tuple []byte, b
 // straggler. Self-dealt tuples go straight into the local slab through
 // the shared offset cursor; remote destinations fill per-destination
 // buffers that ship through the same scheduled path as everything else.
-func (st *machineState) dealSplit(t int, ts *threadState, p int, tuple []byte, capTuples int32) error {
+func (st *machineState) dealSplit(t int, ts *threadState, p int, tuple []byte) error {
 	idx := st.splitNext[p].Add(1) - 1
 	dest := (st.splitStartDest(st.m.ID, p) + int(idx%int64(st.nm))) % st.nm
 	width := st.width
 	if dest == st.m.ID {
 		cur := (st.splitLocalCur[p].Add(1) - 1) * int64(width)
-		slab := st.slabS.Bytes()
-		if ts.wcCopy {
-			relation.CopyTuple(slab[cur:], tuple, width)
-		} else {
-			copy(slab[cur:], tuple)
-		}
+		copy(st.slabS.Bytes()[cur:cur+int64(width)], tuple)
 		return nil
 	}
 	bufs := ts.splitBuf[p]
@@ -663,14 +653,9 @@ func (st *machineState) dealSplit(t int, ts *threadState, p int, tuple []byte, c
 		bufs[dest] = b
 		fill[dest] = 0
 	}
-	pool := st.pools[t]
-	if ts.wcCopy {
-		relation.CopyTuple(pool.buf(b)[int(fill[dest])*width:], tuple, width)
-	} else {
-		copy(pool.buf(b)[int(fill[dest])*width:], tuple)
-	}
+	copy(st.pools[t].buf(b)[int(fill[dest])*width:], tuple)
 	fill[dest]++
-	if fill[dest] == capTuples {
+	if fill[dest] == int32(st.cfg.BufferSize/width) {
 		return st.flushSplit(t, ts, p, dest)
 	}
 	return nil
@@ -705,13 +690,13 @@ func (st *machineState) flushBcast(t int, ts *threadState, p, dest int) error {
 	return st.ship(t, ts, buf, tuples, p, false, dest, &ts.bcastCur[p][dest])
 }
 
-// flush posts the current buffer of partition p towards its owner and
-// detaches it from the thread state.
+// flush posts the current buffer of remote partition p towards its owner
+// and closes p's window.
 func (st *machineState) flush(t int, ts *threadState, p int, isS bool) error {
 	buf := ts.curBuf[p]
-	tuples := ts.fill[p]
+	tuples := int32(ts.win.Fill(p))
 	ts.curBuf[p] = -1
-	ts.fill[p] = 0
+	ts.win.Close(p)
 	return st.ship(t, ts, buf, tuples, p, isS, st.owner[p], &ts.remoteCur[p])
 }
 

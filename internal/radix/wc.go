@@ -50,33 +50,6 @@ func (wc *WCBuffers) Reset(np, width int) {
 	}
 }
 
-// Stage copies one tuple into partition p's staging line and reports
-// whether the line is now full; when it is, the caller must flush Line(p)
-// to its destination and Clear(p) before staging more tuples for p. This
-// is the building block netpass-style callers with their own cursor
-// bookkeeping use; ScatterWC fuses staging and flushing internally.
-func (wc *WCBuffers) Stage(p int, tuple []byte) bool {
-	base := p*relation.CacheLine + int(wc.fill[p])
-	relation.CopyTuple(wc.stage[base:], tuple, wc.width)
-	wc.fill[p] += int32(wc.width)
-	return wc.fill[p] == relation.CacheLine
-}
-
-// Line returns the staged bytes of partition p (possibly a partial line).
-func (wc *WCBuffers) Line(p int) []byte {
-	base := p * relation.CacheLine
-	return wc.stage[base : base+int(wc.fill[p])]
-}
-
-// Clear discards partition p's staged bytes (after the caller flushed
-// them). Full-line clears count towards Flushes.
-func (wc *WCBuffers) Clear(p int) {
-	if wc.fill[p] == relation.CacheLine {
-		wc.Flushes++
-	}
-	wc.fill[p] = 0
-}
-
 // drainInto appends every partition's staged tail to its destination
 // cursor position in ddata and advances the cursors, leaving the buffers
 // empty. Tail flushes are partial lines and do not count as Flushes.

@@ -2,7 +2,6 @@ package radix
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -135,39 +134,6 @@ func TestScatterIndexedEquivalence(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestWCBuffersStageLineClear(t *testing.T) {
-	wc := NewWCBuffers(4, relation.Width16)
-	tuple := make([]byte, relation.Width16)
-	for i := 0; i < 3; i++ {
-		binary.LittleEndian.PutUint64(tuple, uint64(i))
-		if wc.Stage(2, tuple) {
-			t.Fatalf("line full after %d of 4 tuples", i+1)
-		}
-	}
-	if got := len(wc.Line(2)); got != 48 {
-		t.Fatalf("Line(2) = %d bytes, want 48", got)
-	}
-	if !wc.Stage(2, tuple) {
-		t.Fatal("line not full after 4 tuples")
-	}
-	if wc.Flushes != 0 {
-		t.Fatalf("Flushes = %d before Clear", wc.Flushes)
-	}
-	wc.Clear(2)
-	if wc.Flushes != 1 {
-		t.Fatalf("full-line Clear not counted: Flushes = %d", wc.Flushes)
-	}
-	if len(wc.Line(2)) != 0 {
-		t.Fatal("line not empty after Clear")
-	}
-	// Partial clears are tail drains, not flushes.
-	wc.Stage(1, tuple)
-	wc.Clear(1)
-	if wc.Flushes != 1 {
-		t.Fatalf("partial Clear counted as flush: Flushes = %d", wc.Flushes)
 	}
 }
 

@@ -72,16 +72,22 @@ func TestOpenSpansVisibleMidRun(t *testing.T) {
 // TestConcurrentChromeExport hammers WriteChromeJSON (and the other
 // exporters) while spans are being recorded and closed from many
 // goroutines — the /trace endpoint's access pattern. Run under -race.
+// Each recorder writes at most maxSpans spans, so memory stays bounded
+// however far the exports fall behind on a busy host; the exports start
+// only once every recorder has written its first span, so they overlap
+// with recording.
 func TestConcurrentChromeExport(t *testing.T) {
+	const recorders, maxSpans = 4, 1000
 	r := New()
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for m := 0; m < 4; m++ {
+	var wg, started sync.WaitGroup
+	started.Add(recorders)
+	for m := 0; m < recorders; m++ {
 		wg.Add(1)
 		go func(m int) {
 			defer wg.Done()
 			labels := []string{"histogram", "network partition", "local", "build-probe"}
-			for i := 0; ; i++ {
+			for i := 0; i < maxSpans; i++ {
 				select {
 				case <-stop:
 					return
@@ -89,9 +95,13 @@ func TestConcurrentChromeExport(t *testing.T) {
 				}
 				end := r.Span(m, "phase", labels[i%len(labels)])
 				end(int64(i))
+				if i == 0 {
+					started.Done()
+				}
 			}
 		}(m)
 	}
+	started.Wait()
 	for i := 0; i < 50; i++ {
 		if err := r.WriteChromeJSON(io.Discard); err != nil {
 			t.Fatalf("mid-run export %d: %v", i, err)
